@@ -238,31 +238,27 @@ func Condition3(h model.History) Verdict {
 // every process from which i received "j failed" (tag core SUSP) before
 // executing failed_i(j). The §5 protocol merges SUSP and ACK.SUSP, so
 // received suspicion messages are the acknowledgements.
-func QuorumSets(h model.History, suspTag string) []map[model.ProcID]bool {
-	// heard[i][j] = set of senders of "j failed" received by i so far.
-	heard := make(map[model.ProcID]map[model.ProcID]map[model.ProcID]bool)
-	var out []map[model.ProcID]bool
+func QuorumSets(h model.History, suspTag string) []quorum.Set {
+	// heard[{i, j}] is {i} ∪ the senders of "j failed" received by i so
+	// far: the quorum a detection failed_i(j) takes if it happens now.
+	heard := make(map[[2]model.ProcID]*quorum.Set)
+	at := func(i, j model.ProcID) *quorum.Set {
+		k := [2]model.ProcID{i, j}
+		s := heard[k]
+		if s == nil {
+			s = new(quorum.Set)
+			s.Add(i)
+			heard[k] = s
+		}
+		return s
+	}
+	var out []quorum.Set
 	for _, e := range h {
 		switch {
 		case e.Kind == model.KindRecv && e.Tag == suspTag && e.Target != model.None:
-			m := heard[e.Proc]
-			if m == nil {
-				m = make(map[model.ProcID]map[model.ProcID]bool)
-				heard[e.Proc] = m
-			}
-			s := m[e.Target]
-			if s == nil {
-				s = make(map[model.ProcID]bool)
-				m[e.Target] = s
-			}
-			s[e.Peer] = true
+			at(e.Proc, e.Target).Add(e.Peer)
 		case e.Kind == model.KindFailed:
-			q := map[model.ProcID]bool{e.Proc: true}
-			//sfs:allow detmaprange set-to-set copy; the quorum set is consumed by membership tests only
-			for sender := range heard[e.Proc][e.Target] {
-				q[sender] = true
-			}
-			out = append(out, q)
+			out = append(out, at(e.Proc, e.Target).Clone())
 		}
 	}
 	return out

@@ -247,7 +247,7 @@ func TestQuorumSetsReconstruction(t *testing.T) {
 		t.Fatalf("got %d quorum sets, want 1", len(sets))
 	}
 	q := sets[0]
-	if !q[2] || !q[3] || !q[4] || len(q) != 3 {
+	if !q.Has(2) || !q.Has(3) || !q.Has(4) || q.Len() != 3 {
 		t.Errorf("quorum = %v, want {2,3,4}", q)
 	}
 	// Suspicion heard AFTER the detection must not count.
@@ -260,7 +260,7 @@ func TestQuorumSetsReconstruction(t *testing.T) {
 		model.Crash(1),
 	}.Normalize()
 	sets2 := QuorumSets(h2, "SUSP")
-	if len(sets2) != 1 || len(sets2[0]) != 2 {
+	if len(sets2) != 1 || sets2[0].Len() != 2 {
 		t.Errorf("quorum sets = %v, want one set of size 2", sets2)
 	}
 }

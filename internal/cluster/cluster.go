@@ -9,6 +9,7 @@ import (
 	"failstop/internal/core"
 	"failstop/internal/model"
 	"failstop/internal/node"
+	"failstop/internal/quorum"
 	"failstop/internal/reliable"
 	"failstop/internal/sim"
 )
@@ -133,15 +134,11 @@ func (c *Cluster) Run() *sim.Result { return c.Sim.Run() }
 // QuorumSets aggregates the quorum snapshots of every completed detection
 // across all processes, as sets, for Witness-property checking (§4,
 // Definition 5).
-func (c *Cluster) QuorumSets() []map[model.ProcID]bool {
-	var out []map[model.ProcID]bool
+func (c *Cluster) QuorumSets() []quorum.Set {
+	var out []quorum.Set
 	for p := 1; p <= c.n; p++ {
 		for _, q := range c.Detectors[p].Quorums() {
-			set := make(map[model.ProcID]bool, len(q))
-			for _, m := range q {
-				set[m] = true
-			}
-			out = append(out, set)
+			out = append(out, quorum.SetOf(q...))
 		}
 	}
 	return out

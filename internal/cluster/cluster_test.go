@@ -45,7 +45,7 @@ func TestQuorumSetsAggregation(t *testing.T) {
 	}
 	min := quorum.MinSize(5, 2)
 	for _, s := range sets {
-		if len(s) < min {
+		if s.Len() < min {
 			t.Errorf("quorum %v smaller than %d", s, min)
 		}
 	}

@@ -104,8 +104,8 @@ func TestQuorumSizeMatchesTheorem7(t *testing.T) {
 		t.Fatalf("trace yields %d quorum sets, want 8", len(fromTrace))
 	}
 	for _, q := range fromTrace {
-		if len(q) < want {
-			t.Errorf("trace quorum size %d < %d", len(q), want)
+		if q.Len() < want {
+			t.Errorf("trace quorum size %d < %d", q.Len(), want)
 		}
 	}
 }

@@ -6,7 +6,8 @@ package quorum
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"failstop/internal/model"
 )
@@ -54,30 +55,22 @@ func Progresses(n, t int) bool {
 
 // Witness reports whether the family of quorum sets satisfies the Witness
 // property W: the intersection of all quorum sets is nonempty (§4). The
-// family maps each detection to the set of processes whose acknowledgements
-// the detector collected.
-func Witness(quorums []map[model.ProcID]bool) (model.ProcID, bool) {
+// family holds, for each detection, the set of processes whose
+// acknowledgements the detector collected. The witness returned is the
+// smallest common member.
+func Witness(quorums []Set) (model.ProcID, bool) {
 	if len(quorums) == 0 {
 		return model.None, true
 	}
-	// Intersect all sets against the first, candidates in ascending order
-	// so the reported witness is the smallest common member, not whichever
-	// the map yields first.
-	cands := make([]model.ProcID, 0, len(quorums[0]))
-	for w := range quorums[0] {
-		cands = append(cands, w)
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-	for _, w := range cands {
-		inAll := true
+	for k, x := range quorums[0].w {
 		for _, q := range quorums[1:] {
-			if !q[w] {
-				inAll = false
-				break
+			if k >= len(q.w) {
+				return model.None, false
 			}
+			x &= q.w[k]
 		}
-		if inAll {
-			return w, true
+		if x != 0 {
+			return model.ProcID(k<<6 + bits.TrailingZeros64(x)), true
 		}
 	}
 	return model.None, false
@@ -91,33 +84,86 @@ func Witness(quorums []map[model.ProcID]bool) (model.ProcID, bool) {
 //
 // A family may have empty global intersection while every t-subfamily
 // intersects; such a family is still safe.
-func SubfamiliesIntersect(quorums []map[model.ProcID]bool, t int) bool {
-	if t <= 0 || len(quorums) <= 1 {
+//
+// The check runs in two steps. The first is Theorem 7's counting
+// argument. Let U be the union of the family. A subfamily S loses a member
+// of U only to some quorum's complement U−Q, so |U − ∩S| ≤ Σ_{Q∈S} |U−Q|.
+// If the t largest complements sum to fewer than |U|, that sum bounds the
+// loss of every S with at most t sets, because a smaller S sums a subset
+// of the same complements. So every such ∩S keeps a member, and the
+// answer is true after O(m) popcounts. The bound never answers true
+// wrongly; a family it cannot settle goes to the second step. That step is
+// a depth-first search over the t-subfamilies in index order. It keeps the
+// running intersection of each prefix in a preallocated buffer per depth,
+// and an empty prefix ends the search with false at once: the prefix
+// extends to a t-subfamily (t ≤ m) whose intersection is no larger.
+func SubfamiliesIntersect(quorums []Set, t int) bool {
+	m := len(quorums)
+	if t <= 0 || m <= 1 {
 		return true
 	}
-	if t > len(quorums) {
-		t = len(quorums)
+	if t > m {
+		t = m
 	}
-	idx := make([]int, t)
-	var rec func(pos, start int) bool
-	rec = func(pos, start int) bool {
-		if pos == t {
-			sub := make([]map[model.ProcID]bool, t)
-			for i, q := range idx {
-				sub[i] = quorums[q]
+	words := 0
+	for _, q := range quorums {
+		words = max(words, len(q.w))
+	}
+	if countingBound(quorums, t, words) {
+		return true
+	}
+	// bufs[d] holds the intersection of the first d+1 chosen sets; depth 0
+	// is the chosen set itself and needs no buffer.
+	bufs := make([][]uint64, t)
+	for d := 1; d < t; d++ {
+		bufs[d] = make([]uint64, words)
+	}
+	var rec func(d, start int, prefix []uint64) bool
+	rec = func(d, start int, prefix []uint64) bool {
+		for i := start; i <= m-(t-d); i++ {
+			cur, meets := quorums[i].w, false
+			if d == 0 {
+				meets = count(cur) > 0
+			} else {
+				cur, meets = and(bufs[d], prefix, cur)
 			}
-			_, okW := Witness(sub)
-			return okW
-		}
-		for i := start; i <= len(quorums)-(t-pos); i++ {
-			idx[pos] = i
-			if !rec(pos+1, i+1) {
+			if !meets {
+				return false
+			}
+			if d+1 < t && !rec(d+1, i+1, cur) {
 				return false
 			}
 		}
 		return true
 	}
-	return rec(0, 0)
+	return rec(0, 0, nil)
+}
+
+// countingBound reports whether Theorem 7's counting argument alone proves
+// that every subfamily of at most t quorums intersects: the t largest
+// complements within the family's union U sum to fewer than |U|. words
+// is the longest set's word count.
+func countingBound(quorums []Set, t, words int) bool {
+	u := 0
+	for k := 0; k < words; k++ {
+		var x uint64
+		for _, q := range quorums {
+			if k < len(q.w) {
+				x |= q.w[k]
+			}
+		}
+		u += bits.OnesCount64(x)
+	}
+	comp := make([]int, len(quorums))
+	for i, q := range quorums {
+		comp[i] = u - q.Len()
+	}
+	slices.Sort(comp)
+	sum := 0
+	for _, c := range comp[len(comp)-t:] {
+		sum += c
+	}
+	return sum < u
 }
 
 // EmptyIntersectionFamily constructs the Theorem 7 adversarial family: t
@@ -129,7 +175,7 @@ func SubfamiliesIntersect(quorums []map[model.ProcID]bool, t int) bool {
 //
 // This is the construction from the proof of Theorem 7:
 // Q_1 = P - {1..y}, Q_2 = P - {y+1..2y}, ..., with y = ⌈n/t⌉.
-func EmptyIntersectionFamily(n, t int) []map[model.ProcID]bool {
+func EmptyIntersectionFamily(n, t int) []Set {
 	if n < 1 || t < 1 {
 		return nil
 	}
@@ -140,7 +186,7 @@ func EmptyIntersectionFamily(n, t int) []map[model.ProcID]bool {
 		// or tiny n; callers treat it as "no interesting family").
 		return nil
 	}
-	fam := make([]map[model.ProcID]bool, 0, t)
+	fam := make([]Set, 0, t)
 	for i := 0; i < t; i++ {
 		lo, hi := i*y+1, (i+1)*y
 		if hi > n {
@@ -149,10 +195,10 @@ func EmptyIntersectionFamily(n, t int) []map[model.ProcID]bool {
 			// predecessor rather than shrinking.
 			lo, hi = n-y+1, n
 		}
-		q := make(map[model.ProcID]bool, n-y)
+		var q Set
 		for p := 1; p <= n; p++ {
 			if p < lo || p > hi {
-				q[model.ProcID(p)] = true
+				q.Add(model.ProcID(p))
 			}
 		}
 		fam = append(fam, q)

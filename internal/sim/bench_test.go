@@ -118,6 +118,25 @@ func TestObsAllocBudget(t *testing.T) {
 	}
 }
 
+// hotPathAllocBudget is the absolute allocation budget of one
+// BenchmarkSimHotPath run (n=10, 20 rounds). Measured at 652–653
+// allocs/run on go1.24 linux/amd64; the budget leaves ~7% headroom. A
+// per-call allocation on the batch or gate path (a sort.Slice swapper, a
+// closure) costs about 1350 allocs here and trips it.
+const hotPathAllocBudget = 700
+
+// TestHotPathAllocBudget gates the hot path against an absolute budget, so
+// a regression fails even when HotPath and HotPathObs regress together.
+func TestHotPathAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	const n, rounds = 10, 20
+	if got := testing.AllocsPerRun(20, func() { runFlood(n, rounds, 1) }); got > hotPathAllocBudget {
+		t.Errorf("hot path allocates %.0f/run, over the budget of %d", got, hotPathAllocBudget)
+	}
+}
+
 // BenchmarkSimRestartStorm prices the crash-recovery machinery: a flood
 // workload in which two processes cycle crash/restart on periodic
 // lifetimes under durable recovery, so each iteration pays for the down

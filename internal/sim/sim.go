@@ -41,9 +41,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"failstop/internal/model"
 	"failstop/internal/node"
@@ -684,11 +685,11 @@ func (s *Sim) blockedChannels() []BlockedChannel {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].from != keys[b].from {
-			return keys[a].from < keys[b].from
+	slices.SortFunc(keys, func(a, b chanKey) int {
+		if c := cmp.Compare(a.from, b.from); c != 0 {
+			return c
 		}
-		return keys[a].to < keys[b].to
+		return cmp.Compare(a.to, b.to)
 	})
 	for _, k := range keys {
 		c := s.chans[k]
@@ -731,7 +732,7 @@ func (s *Sim) deliverBatch(to model.ProcID) {
 	key := dueKey{at: s.now, to: to}
 	senders := s.due[key]
 	delete(s.due, key)
-	sort.Slice(senders, func(a, b int) bool { return senders[a] < senders[b] })
+	slices.Sort(senders)
 	for _, from := range senders {
 		s.deliver(chanKey{from: from, to: to})
 	}
@@ -815,7 +816,7 @@ func (s *Sim) afterEvent(p model.ProcID) {
 	if len(pending) == 0 {
 		return
 	}
-	sort.Slice(pending, func(a, b int) bool { return pending[a] < pending[b] })
+	slices.Sort(pending)
 	g, isGate := s.handlers[p].(node.Gate)
 	still := pending[:0]
 	for _, from := range pending {

@@ -167,8 +167,23 @@ func TestSpanCrossBackendAgreement(t *testing.T) {
 	})
 	lc.Start()
 	lc.Suspect(1, 4)
+	// The split brain lets the majority {1,2,3} detect 4 (the minority
+	// cannot reach a quorum of 3). Each of them executes failed(4) only
+	// after hearing SUSP from the other two, so once all three have, every
+	// majority-side message has been delivered and the live span stream
+	// matches the simulator's quiescent one. Waiting on process 1 alone
+	// would stop the cluster while 2 and 3 are still mid-step.
+	majorityFailed := func() bool {
+		h := lc.History()
+		for p := failstop.ProcID(1); p <= 3; p++ {
+			if h.FailedIndex(p, 4) < 0 {
+				return false
+			}
+		}
+		return true
+	}
 	deadline := time.Now().Add(2 * time.Second)
-	for lc.History().FailedIndex(1, 4) < 0 && time.Now().Before(deadline) {
+	for !majorityFailed() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	lc.Stop()
