@@ -326,3 +326,38 @@ func TestPlanFileBadInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenSpanTrace pins the span trace of a run through the whole
+// fault stack (reliable + byz interposers under a Byzantine plan that
+// corrupts, equivocates and replays), byte for byte: the order in which
+// the hosts emit send, fate, enqueue and deliver spans is part of the
+// trace format. testdata/byz-spans.jsonl was written by
+//
+//	sfs-sim -n 5 -t 2 -plan byzantine-minority -reliable -byz -spans \
+//	  -span-rate 1 -suspect 4:3@30 -o byz-spans.jsonl
+func TestGoldenSpanTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	var out bytes.Buffer
+	args := []string{"-n", "5", "-t", "2", "-plan", "byzantine-minority", "-reliable", "-byz",
+		"-spans", "-span-rate", "1", "-suspect", "4:3@30", "-o", path}
+	if code := run(args, &out); code != 0 {
+		t.Fatalf("exit = %d:\n%s", code, out.String())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "byz-spans.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("trace differs at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("trace differs in length: %d lines, want %d", len(gl), len(wl))
+	}
+}
