@@ -758,35 +758,14 @@ func (lc *LiveCluster) Crash(p ProcID) {
 // History returns a snapshot of the recorded history.
 func (lc *LiveCluster) History() History { return lc.net.History() }
 
-// Stats returns the fault-plan counters: messages dropped and extra copies
-// delivered so far.
-func (lc *LiveCluster) Stats() (dropped, duplicated int) { return lc.net.Stats() }
-
-// ReliableStats returns the reliable-delivery counters so far: frames
-// retransmitted and received duplicates suppressed (both 0 unless
-// LiveOptions.Reliable is enabled).
-func (lc *LiveCluster) ReliableStats() (retransmits, ackedDuplicates int) {
-	return lc.net.ReliableStats()
-}
-
-// RecoveryStats returns the process-fault counters so far: plan crashes
-// executed, restarts that followed, and restarts that restored a non-empty
-// durable snapshot (all 0 unless the fault plan has process rules).
-func (lc *LiveCluster) RecoveryStats() (planCrashes, restarts, recovered int) {
-	return lc.net.RecoveryStats()
-}
-
-// ByzStats returns the validation interposer's counters so far: misbehavior
-// convictions and frames discarded from convicted senders (both 0 unless
-// LiveOptions.Byzantine is enabled).
-func (lc *LiveCluster) ByzStats() (detected, masked int) {
-	return lc.net.ByzStats()
-}
-
 // Metrics returns a name-sorted live snapshot of the cluster's counters:
-// runtime traffic, reliable-layer work, and — with LiveOptions.Faults —
-// the fault plane's decision tallies. Safe to call while the cluster
-// runs; it is what the /metrics endpoint serves.
+// runtime traffic (net_sent_total, net_dropped_total, ...), process
+// faults (net_plan_crashes_total, net_restarts_total, net_recovered_total)
+// when the fault plan has process rules, reliable-layer and interposer
+// work (reliable_retransmits_total, byz_detected_total, ...) when those
+// layers are enabled, and — with LiveOptions.Faults — the fault plane's
+// decision tallies. Safe to call while the cluster runs; it is what the
+// /metrics endpoint serves.
 func (lc *LiveCluster) Metrics() Metrics {
 	ms := lc.net.Metrics()
 	if lc.plane != nil {

@@ -155,7 +155,7 @@ func TestFaultPlanCrossBackend(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	lc.Stop()
-	dropped, _ := lc.Stats()
+	dropped := int(lc.Metrics().Value("net_dropped_total"))
 	checkSplitBrainSemantics(t, "live", lc.History(), dropped)
 }
 
@@ -270,7 +270,7 @@ func TestReliableHealingPartitionCrossBackend(t *testing.T) {
 			t.Errorf("live with reliable delivery: failed_%d(1) never completed", p)
 		}
 	}
-	if retr, _ := lc.ReliableStats(); retr == 0 {
+	if lc.Metrics().Value("reliable_retransmits_total") == 0 {
 		t.Error("live backend detected across the heal without retransmitting")
 	}
 }
@@ -642,6 +642,6 @@ func TestByzantineCrossBackend(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	lc.Stop()
-	detected, _ := lc.ByzStats()
+	detected := int(lc.Metrics().Value("byz_detected_total"))
 	checkByzantineSemantics(t, "live", lc.History(), detected)
 }

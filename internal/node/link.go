@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"failstop/internal/model"
+	"failstop/internal/obs"
 )
 
 // LinkDecision is the fate a (possibly adversarial) network assigns to one
@@ -123,4 +124,118 @@ func (d LinkDecision) Note() string {
 		add("replay=+" + strconv.FormatInt(d.Replay.Delay, 10))
 	}
 	return string(b)
+}
+
+// Wire is the send pipeline both hosts share: the network's fate hook,
+// the span recorder, and the traffic counters. A host hands every send it
+// has recorded to Wire.Send, which decides what the channel carries; the
+// host keeps only the crash check, the message id and send event, and the
+// queue the copies land in.
+type Wire struct {
+	// Link decides each message's fate; nil delivers every message once.
+	Link LinkFn
+	// Spans, when non-nil, records the send, fate, drop and enqueue spans.
+	Spans *obs.SpanRecorder
+	// Counters tallies sent, dropped and duplicated messages here; the host
+	// counts the rest.
+	Counters
+}
+
+// Copy is one message copy the network lets onto a channel.
+type Copy struct {
+	// Payload is what the copy carries: the sender's payload, the
+	// decision's Replace payload, or a Replay ghost.
+	Payload Payload
+	// Extra is the delay in ticks on top of the host's base delay.
+	Extra int64
+	// Park holds the copy (and the channel behind it) forever.
+	Park bool
+	// Reorder lets the copy overtake the channel's current tail (see
+	// Enqueue).
+	Reorder bool
+	// Span is the copy's enqueue span, 0 when the message is unsampled.
+	Span int64
+}
+
+// Send applies the network's fate to message id, which the host has just
+// recorded as sent from from to to at time now (in ticks), inside the
+// handler callback framed by span parent. It consults Link, records the
+// send and fate spans, counts the send, and then either drops the message
+// (counting and tracing the drop) or hands enqueue one Copy per delivered
+// copy — the Replace payload when the network substitutes one — followed
+// by the Replay ghost. It returns how many copies it handed over.
+//
+// Link sees the sender's payload; so does the host's delay choice, while
+// the channel carries Copy.Payload. enqueue must not retain its argument's
+// address; it is called synchronously, in copy order.
+func (w *Wire) Send(from, to model.ProcID, id model.MsgID, p Payload, now, parent int64, enqueue func(Copy)) int {
+	w.Sent.Inc()
+	var dec LinkDecision
+	if w.Link != nil {
+		dec = w.Link(from, to, p, now)
+	}
+	var span int64
+	if w.Spans != nil && w.Spans.Sampled(id) {
+		span = w.Spans.Record(obs.Span{
+			Parent: parent, Time: now, Kind: obs.SpanSend,
+			Proc: from, Peer: to, Msg: id, Tag: p.Tag, Target: p.Subject,
+		})
+		if note := dec.Note(); note != "" {
+			span = w.Spans.Record(obs.Span{
+				Parent: span, Time: now, Kind: obs.SpanFate,
+				Proc: from, Peer: to, Msg: id, Note: note,
+			})
+		}
+	}
+	if dec.Drop {
+		w.Dropped.Inc()
+		if span != 0 {
+			w.Spans.Record(obs.Span{
+				Parent: span, Time: now, Kind: obs.SpanDrop,
+				Proc: from, Peer: to, Msg: id,
+			})
+		}
+		return 0
+	}
+	w.Duplicated.Add(int64(dec.Duplicates))
+	emit := func(payload Payload, extra int64) {
+		c := Copy{Payload: payload, Extra: dec.ExtraDelay + extra, Park: dec.Park, Reorder: dec.Reorder}
+		if span != 0 {
+			c.Span = w.Spans.Record(obs.Span{
+				Parent: span, Time: now, Kind: obs.SpanEnqueue,
+				Proc: from, Peer: to, Msg: id,
+			})
+		}
+		enqueue(c)
+	}
+	// A Byzantine network may substitute what the channel carries; the
+	// host's send event still records the payload the sender passed in.
+	wire := p
+	if dec.Replace != nil {
+		wire = dec.Replace.Payload
+	}
+	n := dec.Copies()
+	for i := 0; i < n; i++ {
+		emit(wire, 0)
+	}
+	if dec.Replay != nil {
+		// A Byzantine replay: a ghost copy of an earlier wire payload rides
+		// along, further delayed so it lands stale.
+		emit(dec.Replay.Payload, dec.Replay.Delay)
+		n++
+	}
+	return n
+}
+
+// Enqueue appends m to the channel queue q — or, for a Reorder copy on a
+// queue holding more than one message, slots it in just before the
+// current tail: a pairwise FIFO violation.
+func Enqueue[M any](q []M, m M, reorder bool) []M {
+	if !reorder || len(q) <= 1 {
+		return append(q, m)
+	}
+	tail := len(q) - 1
+	q = append(q, q[tail])
+	q[tail] = m
+	return q
 }

@@ -39,9 +39,9 @@ func TestLiveLinkDrop(t *testing.T) {
 	if got := c1.tags(); len(got) != 5 {
 		t.Errorf("process 1 received %d messages, want 5", len(got))
 	}
-	dropped, duplicated := net.Stats()
-	if dropped != 5 || duplicated != 0 {
-		t.Errorf("Stats() = (%d, %d), want (5, 0)", dropped, duplicated)
+	ms := net.Metrics()
+	if dropped, duplicated := ms.Value("net_dropped_total"), ms.Value("net_duplicated_total"); dropped != 5 || duplicated != 0 {
+		t.Errorf("dropped, duplicated = %d, %d; want 5, 0", dropped, duplicated)
 	}
 	// The recorded history shows the sends but no receive on the cut link.
 	for _, e := range net.History() {
@@ -75,7 +75,7 @@ func TestLiveLinkDuplicate(t *testing.T) {
 	if got := c2.tags(); len(got) != 6 {
 		t.Errorf("process 2 received %d copies, want 6 (3 messages duplicated)", len(got))
 	}
-	if _, duplicated := net.Stats(); duplicated != 3 {
+	if duplicated := net.Metrics().Value("net_duplicated_total"); duplicated != 3 {
 		t.Errorf("duplicated = %d, want 3", duplicated)
 	}
 }

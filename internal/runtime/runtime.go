@@ -23,7 +23,7 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,6 +32,9 @@ import (
 	"failstop/internal/obs"
 	"failstop/internal/recovery"
 )
+
+// metricNames names the runtime's counters net_sent_total and so on.
+var metricNames = node.NewMetricNames("net")
 
 // Config parameterizes a live network.
 type Config struct {
@@ -87,16 +90,10 @@ type Net struct {
 	history model.History
 	nextMsg model.MsgID
 
-	// Counters are atomic, so they are read live (Stats, Metrics, the
-	// /metrics endpoint) without touching the recorder lock.
-	cSent        obs.Counter
-	cDelivered   obs.Counter
-	cDropped     obs.Counter
-	cDuplicated  obs.Counter
-	cTimersFired obs.Counter
-	cPlanCrashes obs.Counter
-	cRestarts    obs.Counter
-	cRecovered   obs.Counter
+	// wire is the send pipeline shared with the simulator. Its counters
+	// are atomic, so they are read live (Metrics, the /metrics endpoint)
+	// without touching the recorder lock.
+	wire node.Wire
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -141,20 +138,8 @@ func New(cfg Config) *Net {
 	for p := 1; p <= cfg.N; p++ {
 		n.procs[p] = newProc(n, model.ProcID(p))
 	}
-	if reg := cfg.Metrics; reg != nil {
-		reg.RegisterCounter("net_sent_total", &n.cSent)
-		reg.RegisterCounter("net_delivered_total", &n.cDelivered)
-		reg.RegisterCounter("net_dropped_total", &n.cDropped)
-		reg.RegisterCounter("net_duplicated_total", &n.cDuplicated)
-		reg.RegisterCounter("net_timers_fired_total", &n.cTimersFired)
-		// Recovery counters only exist when lifetimes do, mirroring the
-		// simulator: fault-free registry snapshots stay byte-identical.
-		if len(cfg.Lifetimes) > 0 {
-			reg.RegisterCounter("net_plan_crashes_total", &n.cPlanCrashes)
-			reg.RegisterCounter("net_restarts_total", &n.cRestarts)
-			reg.RegisterCounter("net_recovered_total", &n.cRecovered)
-		}
-	}
+	n.wire.Link, n.wire.Spans = cfg.Link, cfg.Spans
+	n.wire.Register(cfg.Metrics, metricNames, len(cfg.Lifetimes) > 0)
 	return n
 }
 
@@ -258,71 +243,13 @@ func (n *Net) delay() time.Duration {
 	return n.cfg.MinDelay + time.Duration(n.rng.Int63n(span+1))
 }
 
-// Stats returns the network-fault counters: messages dropped by Config.Link
-// and extra copies it injected.
-func (n *Net) Stats() (dropped, duplicated int) {
-	return int(n.cDropped.Value()), int(n.cDuplicated.Value())
-}
-
 // Metrics returns a name-sorted live snapshot of the runtime's counters,
-// including the reliable layer's when any handler carries it. Safe to call
+// including the reliable and byz layers' when any handler carries them.
+// It holds the same names as the simulator's Result.Metrics with the net_
+// prefix for sim_, less the simulator-only sim_links_live. Safe to call
 // while the network runs.
 func (n *Net) Metrics() obs.Metrics {
-	ms := obs.Metrics{
-		{Name: "net_delivered_total", Kind: obs.KindCounter, Value: n.cDelivered.Value()},
-		{Name: "net_dropped_total", Kind: obs.KindCounter, Value: n.cDropped.Value()},
-		{Name: "net_duplicated_total", Kind: obs.KindCounter, Value: n.cDuplicated.Value()},
-		{Name: "net_sent_total", Kind: obs.KindCounter, Value: n.cSent.Value()},
-		{Name: "net_timers_fired_total", Kind: obs.KindCounter, Value: n.cTimersFired.Value()},
-	}
-	hasReliable := false
-	for p := 1; p <= n.cfg.N; p++ {
-		if _, ok := n.handlers[p].(reliableStats); ok {
-			hasReliable = true
-			break
-		}
-	}
-	if hasReliable {
-		r, d := n.ReliableStats()
-		ms = append(ms,
-			obs.Metric{Name: "reliable_acked_duplicates_total", Kind: obs.KindCounter, Value: int64(d)},
-			obs.Metric{Name: "reliable_retransmits_total", Kind: obs.KindCounter, Value: int64(r)},
-		)
-	}
-	hasByz := false
-	for p := 1; p <= n.cfg.N; p++ {
-		if _, ok := findByzStats(n.handlers[p]); ok {
-			hasByz = true
-			break
-		}
-	}
-	if hasByz {
-		d, m := n.ByzStats()
-		ms = append(ms,
-			obs.Metric{Name: "byz_detected_total", Kind: obs.KindCounter, Value: int64(d)},
-			obs.Metric{Name: "byz_masked_total", Kind: obs.KindCounter, Value: int64(m)},
-		)
-	}
-	// Mirroring the simulator's snapshot: recovery metrics appear only when
-	// the run has lifetimes, keeping fault-free snapshots byte-stable.
-	if len(n.cfg.Lifetimes) > 0 {
-		ms = append(ms,
-			obs.Metric{Name: "net_plan_crashes_total", Kind: obs.KindCounter, Value: n.cPlanCrashes.Value()},
-			obs.Metric{Name: "net_recovered_total", Kind: obs.KindCounter, Value: n.cRecovered.Value()},
-			obs.Metric{Name: "net_restarts_total", Kind: obs.KindCounter, Value: n.cRestarts.Value()},
-		)
-	}
-	if hasReliable || hasByz || len(n.cfg.Lifetimes) > 0 {
-		ms.Sort()
-	}
-	return ms
-}
-
-// RecoveryStats returns the process-fault counters: crashes executed from
-// Config.Lifetimes, restarts that followed, and restarts that restored a
-// non-empty durable snapshot. Safe to call while the network runs.
-func (n *Net) RecoveryStats() (planCrashes, restarts, recovered int) {
-	return int(n.cPlanCrashes.Value()), int(n.cRestarts.Value()), int(n.cRecovered.Value())
+	return n.wire.Snapshot(metricNames, len(n.cfg.Lifetimes) > 0, node.LayerStats(n.handlers))
 }
 
 // afterTicks schedules fn after d ticks, retaining the timer so Stop can
@@ -376,7 +303,7 @@ func (n *Net) executePlanCrash(idx int, at int64, p *proc, l recovery.Lifetime) 
 		}
 	}
 	p.mu.Unlock()
-	n.cPlanCrashes.Inc()
+	n.wire.PlanCrashes.Inc()
 	n.record(model.Crash(p.self))
 	if lis, ok := n.handlers[p.self].(node.CrashListener); ok {
 		lis.OnCrash(&liveCtx{p: p})
@@ -410,9 +337,9 @@ func (n *Net) finishRestart(p *proc) {
 		st, _ = n.cfg.Store.Load(p.self)
 	}
 	n.record(model.Restart(p.self))
-	n.cRestarts.Inc()
+	n.wire.Restarts.Inc()
 	if len(st) > 0 {
-		n.cRecovered.Inc()
+		n.wire.Recovered.Inc()
 	}
 	// Restart spans are detection-grade, never sampled out — same rule as
 	// the simulator's.
@@ -429,67 +356,6 @@ func (n *Net) finishRestart(p *proc) {
 	} else {
 		n.handlers[p.self].Init(ctx)
 	}
-}
-
-// reliableStats is implemented by handlers that wrap a reliable-delivery
-// layer (internal/reliable.Endpoint); the runtime discovers it structurally
-// to avoid depending on the layer.
-type reliableStats interface {
-	ReliableStats() (retransmits, ackedDuplicates int)
-}
-
-// ReliableStats aggregates the reliable-delivery counters across every
-// handler that carries the layer: frames retransmitted, and received
-// duplicates suppressed after re-acking. Both are 0 when no handler wraps
-// an Endpoint. Safe to call while the network runs — the layer's counters
-// are atomic.
-func (n *Net) ReliableStats() (retransmits, ackedDuplicates int) {
-	for p := 1; p <= n.cfg.N; p++ {
-		if rs, ok := n.handlers[p].(reliableStats); ok {
-			r, d := rs.ReliableStats()
-			retransmits += r
-			ackedDuplicates += d
-		}
-	}
-	return retransmits, ackedDuplicates
-}
-
-// byzStats is implemented by the Byzantine validation interposer
-// (internal/byz.Endpoint), discovered structurally like reliableStats.
-type byzStats interface {
-	ByzStats() (detected, masked int)
-}
-
-// findByzStats walks a handler's wrapper chain outermost-first — the
-// interposer sits inside the reliable layer when both are enabled — until
-// it finds the validation interposer or runs out of wrappers.
-func findByzStats(h node.Handler) (byzStats, bool) {
-	for h != nil {
-		if bs, ok := h.(byzStats); ok {
-			return bs, true
-		}
-		iw, ok := h.(interface{ Inner() node.Handler })
-		if !ok {
-			return nil, false
-		}
-		h = iw.Inner()
-	}
-	return nil, false
-}
-
-// ByzStats aggregates the Byzantine validation interposer's counters
-// across every handler that carries the layer: misbehavior convictions,
-// and frames discarded from convicted senders. Both are 0 when no handler
-// wraps one. Safe to call while the network runs.
-func (n *Net) ByzStats() (detected, masked int) {
-	for p := 1; p <= n.cfg.N; p++ {
-		if bs, ok := findByzStats(n.handlers[p]); ok {
-			d, m := bs.ByzStats()
-			detected += d
-			masked += m
-		}
-	}
-	return detected, masked
 }
 
 // liveMsg is a queued message on a live channel.
@@ -634,7 +500,7 @@ func (p *proc) step() bool {
 		name := p.dueTimer[0]
 		p.dueTimer = p.dueTimer[1:]
 		p.mu.Unlock()
-		p.net.cTimersFired.Inc()
+		p.net.wire.TimersFired.Inc()
 		p.net.handlers[p.self].OnTimer(&liveCtx{p: p}, name)
 		return true
 	}
@@ -647,7 +513,7 @@ func (p *proc) step() bool {
 			senders = append(senders, from)
 		}
 	}
-	sort.Slice(senders, func(a, b int) bool { return senders[a] < senders[b] })
+	slices.Sort(senders)
 	for _, from := range senders {
 		head := p.queues[from][0]
 		if head.parked || head.readyAt.After(now) {
@@ -659,7 +525,7 @@ func (p *proc) step() bool {
 		p.queues[from] = p.queues[from][1:]
 		p.mu.Unlock()
 		p.net.record(model.Recv(p.self, from, head.id, head.payload.Tag, head.payload.Subject))
-		p.net.cDelivered.Inc()
+		p.net.wire.Delivered.Inc()
 		if head.span != 0 {
 			p.curSpan = p.net.cfg.Spans.Record(obs.Span{
 				Parent: head.span, Time: p.net.nowTicks(), Kind: obs.SpanDeliver,
@@ -705,89 +571,28 @@ func (c *liveCtx) Send(to model.ProcID, pl node.Payload) {
 	net.recMu.Lock()
 	net.nextMsg++
 	id := net.nextMsg
+	now := net.nowTicks()
 	e := model.Send(p.self, to, id, pl.Tag, pl.Subject)
-	e.Time = net.nowTicks()
+	e.Time = now
 	e.Seq = len(net.history)
 	net.history = append(net.history, e)
 	net.recMu.Unlock()
-	net.cSent.Inc()
-
-	var dec node.LinkDecision
-	if net.cfg.Link != nil {
-		dec = net.cfg.Link(p.self, to, pl, net.nowTicks())
-	}
-	var parentSpan int64
-	if net.cfg.Spans != nil && net.cfg.Spans.Sampled(id) {
-		parentSpan = net.cfg.Spans.Record(obs.Span{
-			Parent: p.curSpan, Time: net.nowTicks(), Kind: obs.SpanSend,
-			Proc: p.self, Peer: to, Msg: id, Tag: pl.Tag, Target: pl.Subject,
-		})
-		if note := dec.Note(); note != "" {
-			parentSpan = net.cfg.Spans.Record(obs.Span{
-				Parent: parentSpan, Time: net.nowTicks(), Kind: obs.SpanFate,
-				Proc: p.self, Peer: to, Msg: id, Note: note,
-			})
-		}
-	}
-	if dec.Drop {
-		net.cDropped.Inc()
-		if parentSpan != 0 {
-			net.cfg.Spans.Record(obs.Span{
-				Parent: parentSpan, Time: net.nowTicks(), Kind: obs.SpanDrop,
-				Proc: p.self, Peer: to, Msg: id,
-			})
-		}
-		return
-	}
-	net.cDuplicated.Add(int64(dec.Duplicates))
-
-	// A Byzantine network may substitute what the channel carries; the send
-	// event above still records the payload the sender actually passed in.
-	wire := pl
-	if dec.Replace != nil {
-		wire = dec.Replace.Payload
-	}
 
 	dst := net.procs[to]
 	var maxDelay time.Duration
-	dst.mu.Lock()
-	enqueue := func(payload node.Payload, extraTicks int64) {
-		d := net.delay() + time.Duration(dec.ExtraDelay+extraTicks)*net.cfg.Tick
+	copies := net.wire.Send(p.self, to, id, pl, now, p.curSpan, func(cp node.Copy) {
+		d := net.delay() + time.Duration(cp.Extra)*net.cfg.Tick
 		if d > maxDelay {
 			maxDelay = d
 		}
-		msg := liveMsg{
-			id:      id,
-			payload: payload,
-			readyAt: time.Now().Add(d),
-			parked:  dec.Park,
-		}
-		if parentSpan != 0 {
-			msg.span = net.cfg.Spans.Record(obs.Span{
-				Parent: parentSpan, Time: net.nowTicks(), Kind: obs.SpanEnqueue,
-				Proc: p.self, Peer: to, Msg: id,
-			})
-		}
-		q := dst.queues[p.self]
-		if dec.Reorder && len(q) > 1 {
-			// Overtake the current tail: a pairwise FIFO violation.
-			tail := len(q) - 1
-			q = append(q, q[tail])
-			q[tail] = msg
-		} else {
-			q = append(q, msg)
-		}
-		dst.queues[p.self] = q
+		msg := liveMsg{id: id, payload: cp.Payload, readyAt: time.Now().Add(d), parked: cp.Park, span: cp.Span}
+		dst.mu.Lock()
+		dst.queues[p.self] = node.Enqueue(dst.queues[p.self], msg, cp.Reorder)
+		dst.mu.Unlock()
+	})
+	if copies == 0 {
+		return
 	}
-	for c := 0; c < dec.Copies(); c++ {
-		enqueue(wire, 0)
-	}
-	if dec.Replay != nil {
-		// A Byzantine replay: a ghost copy of an earlier wire payload rides
-		// along, further delayed so it lands stale.
-		enqueue(dec.Replay.Payload, dec.Replay.Delay)
-	}
-	dst.mu.Unlock()
 	dst.wake()
 	// Ensure a re-check once the delay elapses even if nothing else wakes
 	// the destination.

@@ -110,6 +110,9 @@ type Config struct {
 	Store recovery.Store
 }
 
+// metricNames names the simulator's counters sim_sent_total and so on.
+var metricNames = node.NewMetricNames("sim")
+
 type chanKey struct{ from, to model.ProcID }
 
 type pendingMsg struct {
@@ -316,8 +319,8 @@ type Result struct {
 	// Stop states why the run ended: drained, max-time, or max-events.
 	Stop StopReason
 	// Metrics is the name-sorted snapshot of the run's instruments
-	// (sim_* counters plus reliable_* when the layer is attached). It is
-	// always populated, independent of Config.Metrics.
+	// (sim_* counters plus reliable_* and byz_* when those layers are
+	// attached). It is always populated, independent of Config.Metrics.
 	Metrics obs.Metrics
 	// Timeline holds the sampled per-tick series when Config.Timeline was
 	// set; nil otherwise.
@@ -369,18 +372,11 @@ type Sim struct {
 	batchFree [][]model.ProcID          // recycled sender slices for due batches
 	gatedFrom [][]model.ProcID          // per-receiver senders of gated channels
 
-	// Instruments live inline as values: zero-cost when no registry or
-	// recorder is attached, registered by pointer into Config.Metrics
-	// otherwise.
-	cSent        obs.Counter
-	cDelivered   obs.Counter
-	cDropped     obs.Counter
-	cDuplicated  obs.Counter
-	cTimersFired obs.Counter
-	cPlanCrashes obs.Counter
-	cRestarts    obs.Counter
-	cRecovered   obs.Counter
-	gLinks       obs.Gauge // live (materialized) channel count
+	// wire is the send pipeline shared with the live runtime; its counters,
+	// like gLinks, live inline as values: zero-cost when no registry is
+	// attached, registered by pointer into Config.Metrics otherwise.
+	wire   node.Wire
+	gLinks obs.Gauge // live (materialized) channel count
 
 	curSpan    int64 // span framing the handler callback now running, or 0
 	inflight   int   // enqueued-but-undelivered message copies
@@ -435,21 +431,10 @@ func New(cfg Config) *Sim {
 	for p := 1; p <= cfg.N; p++ {
 		s.ctxs[p] = &procCtx{s: s, p: model.ProcID(p)}
 	}
+	s.wire.Link, s.wire.Spans = cfg.Link, cfg.Spans
 	if reg := cfg.Metrics; reg != nil {
 		reg.RegisterGauge("sim_links_live", &s.gLinks)
-		reg.RegisterCounter("sim_sent_total", &s.cSent)
-		reg.RegisterCounter("sim_delivered_total", &s.cDelivered)
-		reg.RegisterCounter("sim_dropped_total", &s.cDropped)
-		reg.RegisterCounter("sim_duplicated_total", &s.cDuplicated)
-		reg.RegisterCounter("sim_timers_fired_total", &s.cTimersFired)
-		// Recovery counters only exist when lifetimes do: runs without
-		// process faults keep their registry snapshots byte-identical to
-		// pre-recovery builds.
-		if len(cfg.Lifetimes) > 0 {
-			reg.RegisterCounter("sim_plan_crashes_total", &s.cPlanCrashes)
-			reg.RegisterCounter("sim_restarts_total", &s.cRestarts)
-			reg.RegisterCounter("sim_recovered_total", &s.cRecovered)
-		}
+		s.wire.Register(reg, metricNames, len(cfg.Lifetimes) > 0)
 	}
 	return s
 }
@@ -552,73 +537,24 @@ func (s *Sim) Run() *Result {
 
 	res.History = s.history.Normalize()
 	res.EndTime = s.now
-	res.Sent = int(s.cSent.Value())
-	res.Delivered = int(s.cDelivered.Value())
-	res.Dropped = int(s.cDropped.Value())
-	res.Duplicated = int(s.cDuplicated.Value())
-	res.PlanCrashes = int(s.cPlanCrashes.Value())
-	res.Restarts = int(s.cRestarts.Value())
-	res.Recovered = int(s.cRecovered.Value())
+	c := &s.wire.Counters
+	res.Sent = int(c.Sent.Value())
+	res.Delivered = int(c.Delivered.Value())
+	res.Dropped = int(c.Dropped.Value())
+	res.Duplicated = int(c.Duplicated.Value())
+	res.PlanCrashes = int(c.PlanCrashes.Value())
+	res.Restarts = int(c.Restarts.Value())
+	res.Recovered = int(c.Recovered.Value())
 	res.Blocked = s.blockedChannels()
-	hasReliable := false
-	hasByz := false
-	for p := 1; p <= s.cfg.N; p++ {
-		if rs, ok := s.handlers[p].(reliableStats); ok {
-			hasReliable = true
-			r, d := rs.ReliableStats()
-			res.Retransmits += r
-			res.AckedDuplicates += d
-		}
-		if bs, ok := findByzStats(s.handlers[p]); ok {
-			hasByz = true
-			d, m := bs.ByzStats()
-			res.ByzDetected += d
-			res.ByzMasked += m
-		}
-	}
-	res.Metrics = s.snapshotMetrics(res, hasReliable, hasByz)
+	l := node.LayerStats(s.handlers)
+	res.Retransmits, res.AckedDuplicates = l.Retransmits, l.AckedDuplicates
+	res.ByzDetected, res.ByzMasked = l.ByzDetected, l.ByzMasked
+	res.Metrics = c.Snapshot(metricNames, len(s.cfg.Lifetimes) > 0, l,
+		obs.Metric{Name: "sim_links_live", Kind: obs.KindGauge, Value: s.gLinks.Value()})
 	if s.cfg.Timeline != nil {
 		res.Timeline = s.cfg.Timeline.Snapshot()
 	}
 	return res
-}
-
-// snapshotMetrics builds the run's metric snapshot directly from the
-// inline counters — already name-sorted, so no sort pass is needed.
-func (s *Sim) snapshotMetrics(res *Result, hasReliable, hasByz bool) obs.Metrics {
-	ms := obs.Metrics{
-		{Name: "sim_delivered_total", Kind: obs.KindCounter, Value: s.cDelivered.Value()},
-		{Name: "sim_dropped_total", Kind: obs.KindCounter, Value: s.cDropped.Value()},
-		{Name: "sim_duplicated_total", Kind: obs.KindCounter, Value: s.cDuplicated.Value()},
-		{Name: "sim_links_live", Kind: obs.KindGauge, Value: s.gLinks.Value()},
-		{Name: "sim_sent_total", Kind: obs.KindCounter, Value: s.cSent.Value()},
-		{Name: "sim_timers_fired_total", Kind: obs.KindCounter, Value: s.cTimersFired.Value()},
-	}
-	if hasReliable {
-		ms = append(ms,
-			obs.Metric{Name: "reliable_acked_duplicates_total", Kind: obs.KindCounter, Value: int64(res.AckedDuplicates)},
-			obs.Metric{Name: "reliable_retransmits_total", Kind: obs.KindCounter, Value: int64(res.Retransmits)},
-		)
-	}
-	if hasByz {
-		ms = append(ms,
-			obs.Metric{Name: "byz_detected_total", Kind: obs.KindCounter, Value: int64(res.ByzDetected)},
-			obs.Metric{Name: "byz_masked_total", Kind: obs.KindCounter, Value: int64(res.ByzMasked)},
-		)
-	}
-	// Like the registry, the snapshot grows recovery metrics only when the
-	// run actually had lifetimes, keeping fault-free snapshots byte-stable.
-	if len(s.cfg.Lifetimes) > 0 {
-		ms = append(ms,
-			obs.Metric{Name: "sim_plan_crashes_total", Kind: obs.KindCounter, Value: s.cPlanCrashes.Value()},
-			obs.Metric{Name: "sim_recovered_total", Kind: obs.KindCounter, Value: s.cRecovered.Value()},
-			obs.Metric{Name: "sim_restarts_total", Kind: obs.KindCounter, Value: s.cRestarts.Value()},
-		)
-	}
-	if hasReliable || hasByz || len(s.cfg.Lifetimes) > 0 {
-		ms.Sort()
-	}
-	return ms
 }
 
 // sampleTimeline emits one point per series at every sampling boundary
@@ -645,36 +581,6 @@ func (s *Sim) maxBacklog() int {
 		}
 	}
 	return mx
-}
-
-// reliableStats is implemented by handlers that wrap a reliable-delivery
-// layer (internal/reliable.Endpoint); the simulator discovers it
-// structurally to avoid depending on the layer.
-type reliableStats interface {
-	ReliableStats() (retransmits, ackedDuplicates int)
-}
-
-// byzStats is implemented by the Byzantine validation interposer
-// (internal/byz.Endpoint), discovered structurally like reliableStats.
-type byzStats interface {
-	ByzStats() (detected, masked int)
-}
-
-// findByzStats walks a handler's wrapper chain outermost-first — the
-// interposer sits inside the reliable layer when both are enabled — until
-// it finds the validation interposer or runs out of wrappers.
-func findByzStats(h node.Handler) (byzStats, bool) {
-	for h != nil {
-		if bs, ok := h.(byzStats); ok {
-			return bs, true
-		}
-		iw, ok := h.(interface{ Inner() node.Handler })
-		if !ok {
-			return nil, false
-		}
-		h = iw.Inner()
-	}
-	return nil, false
 }
 
 func (s *Sim) blockedChannels() []BlockedChannel {
@@ -787,7 +693,7 @@ func (s *Sim) deliver(k chanKey) {
 	c.gated = false
 	c.queue = c.queue[1:]
 	s.record(model.Recv(k.to, k.from, head.id, head.payload.Tag, head.payload.Subject))
-	s.cDelivered.Inc()
+	s.wire.Delivered.Inc()
 	s.inflight--
 	prevSpan := s.curSpan
 	if head.span != 0 {
@@ -866,7 +772,7 @@ func (s *Sim) fireTimer(o occurrence) {
 		return // cancelled or replaced
 	}
 	delete(s.timerGen, key)
-	s.cTimersFired.Inc()
+	s.wire.TimersFired.Inc()
 	s.handlers[o.proc].OnTimer(s.ctxs[o.proc], o.name)
 	s.afterEvent(o.proc)
 }
@@ -907,7 +813,7 @@ func (s *Sim) planCrash(o occurrence) {
 		s.push(occurrence{time: o.time + downFor, kind: occRestart, proc: p, lt: o.lt})
 	}
 	s.down[p] = true
-	s.cPlanCrashes.Inc()
+	s.wire.PlanCrashes.Inc()
 	//sfs:allow detmaprange each timer generation is bumped independently
 	for k := range s.timerGen {
 		if k.proc == p {
@@ -934,9 +840,9 @@ func (s *Sim) restart(o occurrence) {
 		st, _ = s.cfg.Store.Load(p)
 	}
 	s.record(model.Restart(p))
-	s.cRestarts.Inc()
+	s.wire.Restarts.Inc()
 	if len(st) > 0 {
-		s.cRecovered.Inc()
+		s.wire.Recovered.Inc()
 	}
 	// Restart spans are detection-grade: rare, and exactly what recovery
 	// experiments grep for — never sampled out.
@@ -1006,56 +912,21 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 	s.nextMsg++
 	id := s.nextMsg
 	s.record(model.Send(c.p, to, id, p.Tag, p.Subject))
-	s.cSent.Inc()
-
-	var dec node.LinkDecision
-	if s.cfg.Link != nil {
-		dec = s.cfg.Link(c.p, to, p, s.now)
-	}
-	var parentSpan int64
-	if s.cfg.Spans != nil && s.cfg.Spans.Sampled(id) {
-		parentSpan = s.cfg.Spans.Record(obs.Span{
-			Parent: s.curSpan, Time: s.now, Kind: obs.SpanSend,
-			Proc: c.p, Peer: to, Msg: id, Tag: p.Tag, Target: p.Subject,
-		})
-		if note := dec.Note(); note != "" {
-			parentSpan = s.cfg.Spans.Record(obs.Span{
-				Parent: parentSpan, Time: s.now, Kind: obs.SpanFate,
-				Proc: c.p, Peer: to, Msg: id, Note: note,
-			})
-		}
-	}
-	if dec.Drop {
-		s.cDropped.Inc()
-		if parentSpan != 0 {
-			s.cfg.Spans.Record(obs.Span{
-				Parent: parentSpan, Time: s.now, Kind: obs.SpanDrop,
-				Proc: c.p, Peer: to, Msg: id,
-			})
-		}
-		return
-	}
-	s.cDuplicated.Add(int64(dec.Duplicates))
-
-	// A Byzantine network may substitute what the channel carries; the send
-	// event above still records the payload the sender actually passed in.
-	wire := p
-	if dec.Replace != nil {
-		wire = dec.Replace.Payload
-	}
 
 	k := chanKey{from: c.p, to: to}
-	ch := s.chans[k]
-	if ch == nil {
-		// A fresh channel rarely holds more than a few in-flight messages;
-		// seeding capacity avoids the first few append growth steps on
-		// every (sender, receiver) pair of every run.
-		ch = &channel{queue: make([]pendingMsg, 0, 8)}
-		s.chans[k] = ch
-		s.gLinks.Set(int64(len(s.chans)))
-	}
+	var ch *channel
 	headChanged := false
-	enqueue := func(payload node.Payload, extra int64) {
+	s.wire.Send(c.p, to, id, p, s.now, s.curSpan, func(cp node.Copy) {
+		if ch == nil {
+			if ch = s.chans[k]; ch == nil {
+				// A fresh channel rarely holds more than a few in-flight
+				// messages; seeding capacity avoids the first few append
+				// growth steps on every (sender, receiver) pair of every run.
+				ch = &channel{queue: make([]pendingMsg, 0, 8)}
+				s.chans[k] = ch
+				s.gLinks.Set(int64(len(s.chans)))
+			}
+		}
 		var delay int64
 		if s.cfg.Delay != nil {
 			delay = s.cfg.Delay(c.p, to, p, s.now)
@@ -1063,37 +934,13 @@ func (c *procCtx) Send(to model.ProcID, p node.Payload) {
 			delay = s.cfg.MinDelay + s.rng.Int63n(s.cfg.MaxDelay-s.cfg.MinDelay+1)
 		}
 		ready := int64(-1)
-		if delay >= 0 && !dec.Park {
-			ready = s.now + delay + dec.ExtraDelay + extra
+		if delay >= 0 && !cp.Park {
+			ready = s.now + delay + cp.Extra
 		}
-		msg := pendingMsg{id: id, payload: payload, readyAt: ready}
 		s.inflight++
-		if parentSpan != 0 {
-			msg.span = s.cfg.Spans.Record(obs.Span{
-				Parent: parentSpan, Time: s.now, Kind: obs.SpanEnqueue,
-				Proc: c.p, Peer: to, Msg: id,
-			})
-		}
-		if dec.Reorder && len(ch.queue) > 1 {
-			// Overtake the current tail: a pairwise FIFO violation.
-			tail := len(ch.queue) - 1
-			ch.queue = append(ch.queue, ch.queue[tail])
-			ch.queue[tail] = msg
-		} else {
-			ch.queue = append(ch.queue, msg)
-			if len(ch.queue) == 1 {
-				headChanged = true
-			}
-		}
-	}
-	for n := 0; n < dec.Copies(); n++ {
-		enqueue(wire, 0)
-	}
-	if dec.Replay != nil {
-		// A Byzantine replay: a ghost copy of an earlier wire payload rides
-		// along, further delayed so it lands stale.
-		enqueue(dec.Replay.Payload, dec.Replay.Delay)
-	}
+		headChanged = headChanged || len(ch.queue) == 0
+		ch.queue = node.Enqueue(ch.queue, pendingMsg{id: id, payload: cp.Payload, readyAt: ready, span: cp.Span}, cp.Reorder)
+	})
 	if headChanged {
 		s.scheduleHead(k)
 	}

@@ -103,31 +103,19 @@ func Merge(reports ...*Report) (*Report, error) {
 // slices; it must only be read (merged from), never added to.
 func cellAccumulator(c *CellResult) *accumulator {
 	return &accumulator{
-		cell:        c.Cell,
-		links:       c.Links,
-		fanout:      c.Fanout,
-		runs:        c.Runs,
-		stops:       c.Stops,
-		quiet:       c.Quiescent,
-		blocked:     c.BlockedRuns,
-		checked:     c.Checked,
-		dropped:     c.Dropped,
-		duplicated:  c.Duplicated,
-		retransmits: c.Retransmits,
-		ackedDups:   c.AckedDuplicates,
-		planCrashes: c.PlanCrashes,
-		restarts:    c.Restarts,
-		recovered:   c.Recovered,
-		byzDetected: c.ByzDetected,
-		byzMasked:   c.ByzMasked,
-		corrupted:   c.Corrupted,
-		equivocated: c.Equivocated,
-		replayed:    c.Replayed,
-		holds:       c.Holds,
-		metrics:     c.Metrics,
-		obsTotals:   c.Obs,
-		tseries:     c.TimeseriesSamples,
-		events:      c.EventSamples,
-		ends:        c.EndTimeSamples,
+		cell:      c.Cell,
+		links:     c.Links,
+		fanout:    c.Fanout,
+		runs:      c.Runs,
+		stops:     c.Stops,
+		quiet:     c.Quiescent,
+		blocked:   c.BlockedRuns,
+		checked:   c.Checked,
+		holds:     c.Holds,
+		metrics:   c.Metrics,
+		obsTotals: c.Obs,
+		tseries:   c.TimeseriesSamples,
+		events:    c.EventSamples,
+		ends:      c.EndTimeSamples,
 	}
 }

@@ -80,7 +80,9 @@ type CellResult struct {
 	// Obs totals the runs' observability counters (the simulator's
 	// snapshot merged, under a fault plan, with the fault plane's) over
 	// all runs of the cell, keyed by metric name. Histogram-kind metrics
-	// carry no total and are not aggregated here.
+	// carry no total and are not aggregated here. The counter columns
+	// Dropped through Replayed are read from these totals (see
+	// counterColumns).
 	Obs map[string]int64 `json:"obs"`
 	// Events and EndTimes summarize run length in events and virtual time.
 	Events   stats.Summary `json:"events"`
@@ -270,32 +272,20 @@ func (r *Report) String() string {
 // reports, so the final CellResult is independent of which worker ran
 // which job.
 type accumulator struct {
-	cell        Cell
-	links       int64
-	fanout      int
-	runs        int
-	stops       map[sim.StopReason]int
-	quiet       int
-	blocked     int
-	checked     int
-	dropped     int
-	duplicated  int
-	retransmits int
-	ackedDups   int
-	planCrashes int
-	restarts    int
-	recovered   int
-	byzDetected int
-	byzMasked   int
-	corrupted   int
-	equivocated int
-	replayed    int
-	holds       map[string]int
-	metrics     map[string]int
-	obsTotals   map[string]int64
-	tseries     map[string][]float64
-	events      []float64
-	ends        []float64
+	cell      Cell
+	links     int64
+	fanout    int
+	runs      int
+	stops     map[sim.StopReason]int
+	quiet     int
+	blocked   int
+	checked   int
+	holds     map[string]int
+	metrics   map[string]int
+	obsTotals map[string]int64
+	tseries   map[string][]float64
+	events    []float64
+	ends      []float64
 }
 
 // newAccumulator creates one empty accumulator; sampleHint presizes the
@@ -333,18 +323,6 @@ func (a *accumulator) add(rec runRecord) {
 	if rec.blocked {
 		a.blocked++
 	}
-	a.dropped += rec.dropped
-	a.duplicated += rec.duplicated
-	a.retransmits += rec.retransmits
-	a.ackedDups += rec.ackedDups
-	a.planCrashes += rec.planCrashes
-	a.restarts += rec.restarts
-	a.recovered += rec.recovered
-	a.byzDetected += rec.byzDetected
-	a.byzMasked += rec.byzMasked
-	a.corrupted += rec.corrupted
-	a.equivocated += rec.equivocated
-	a.replayed += rec.replayed
 	if rec.verdicts != nil {
 		a.checked++
 		for _, v := range rec.verdicts {
@@ -387,18 +365,6 @@ func (a *accumulator) merge(b *accumulator) {
 	a.quiet += b.quiet
 	a.blocked += b.blocked
 	a.checked += b.checked
-	a.dropped += b.dropped
-	a.duplicated += b.duplicated
-	a.retransmits += b.retransmits
-	a.ackedDups += b.ackedDups
-	a.planCrashes += b.planCrashes
-	a.restarts += b.restarts
-	a.recovered += b.recovered
-	a.byzDetected += b.byzDetected
-	a.byzMasked += b.byzMasked
-	a.corrupted += b.corrupted
-	a.equivocated += b.equivocated
-	a.replayed += b.replayed
 	//sfs:allow detmaprange commutative sum into a map; emission renders via the sorted Properties list
 	for k, v := range b.holds {
 		a.holds[k] += v
@@ -432,7 +398,7 @@ func (a *accumulator) result() CellResult {
 		sort.Float64s(samples)
 		ts[name] = stats.Summarize(samples)
 	}
-	return CellResult{
+	c := CellResult{
 		Cell:              a.cell,
 		Links:             a.links,
 		Fanout:            a.fanout,
@@ -441,18 +407,6 @@ func (a *accumulator) result() CellResult {
 		Quiescent:         a.quiet,
 		BlockedRuns:       a.blocked,
 		Checked:           a.checked,
-		Dropped:           a.dropped,
-		Duplicated:        a.duplicated,
-		Retransmits:       a.retransmits,
-		AckedDuplicates:   a.ackedDups,
-		PlanCrashes:       a.planCrashes,
-		Restarts:          a.restarts,
-		Recovered:         a.recovered,
-		ByzDetected:       a.byzDetected,
-		ByzMasked:         a.byzMasked,
-		Corrupted:         a.corrupted,
-		Equivocated:       a.equivocated,
-		Replayed:          a.replayed,
 		Holds:             a.holds,
 		Metrics:           a.metrics,
 		Obs:               a.obsTotals,
@@ -463,4 +417,29 @@ func (a *accumulator) result() CellResult {
 		Timeseries:        ts,
 		TimeseriesSamples: a.tseries,
 	}
+	for _, col := range counterColumns {
+		*col.field(&c) = int(a.obsTotals[col.metric])
+	}
+	return c
+}
+
+// counterColumns names the Obs total behind each counter column of a
+// CellResult. The columns are derived from the totals, never summed on
+// their own, so no merge can leave one out.
+var counterColumns = []struct {
+	metric string
+	field  func(*CellResult) *int
+}{
+	{"sim_dropped_total", func(c *CellResult) *int { return &c.Dropped }},
+	{"sim_duplicated_total", func(c *CellResult) *int { return &c.Duplicated }},
+	{"reliable_retransmits_total", func(c *CellResult) *int { return &c.Retransmits }},
+	{"reliable_acked_duplicates_total", func(c *CellResult) *int { return &c.AckedDuplicates }},
+	{"sim_plan_crashes_total", func(c *CellResult) *int { return &c.PlanCrashes }},
+	{"sim_restarts_total", func(c *CellResult) *int { return &c.Restarts }},
+	{"sim_recovered_total", func(c *CellResult) *int { return &c.Recovered }},
+	{"byz_detected_total", func(c *CellResult) *int { return &c.ByzDetected }},
+	{"byz_masked_total", func(c *CellResult) *int { return &c.ByzMasked }},
+	{"plane_byz_corrupted_total", func(c *CellResult) *int { return &c.Corrupted }},
+	{"plane_byz_equivocated_total", func(c *CellResult) *int { return &c.Equivocated }},
+	{"plane_byz_replayed_total", func(c *CellResult) *int { return &c.Replayed }},
 }

@@ -172,7 +172,9 @@ func (c Cell) String() string {
 // Cluster nil; Metrics carries named boolean outcomes to aggregate beyond
 // the checker's verdicts; Obs carries the run's observability counters
 // (the default runner merges the simulator's snapshot with the fault
-// plane's, when one was active) to total per cell.
+// plane's, when one was active) to total per cell, and a nil Obs stands
+// for Result.Metrics. The report's counter columns are read from these
+// totals.
 type RunOutput struct {
 	Result  *sim.Result
 	Cluster *cluster.Cluster
@@ -658,28 +660,16 @@ func quorumStarved(c *cluster.Cluster) bool {
 
 // runRecord is one run's contribution to its cell's aggregate.
 type runRecord struct {
-	cellIdx     int
-	stop        sim.StopReason
-	quiescent   bool
-	blocked     bool
-	dropped     int
-	duplicated  int
-	retransmits int
-	ackedDups   int
-	planCrashes int
-	restarts    int
-	recovered   int
-	byzDetected int
-	byzMasked   int
-	corrupted   int
-	equivocated int
-	replayed    int
-	events      float64
-	endTime     float64
-	verdicts    []checker.Verdict // nil when unchecked
-	metrics     map[string]bool
-	obs         obs.Metrics
-	peaks       []obs.TimelineSeries // run timeline, reduced per-series to peaks by the accumulator
+	cellIdx   int
+	stop      sim.StopReason
+	quiescent bool
+	blocked   bool
+	events    float64
+	endTime   float64
+	verdicts  []checker.Verdict // nil when unchecked
+	metrics   map[string]bool
+	obs       obs.Metrics
+	peaks     []obs.TimelineSeries // run timeline, reduced per-series to peaks by the accumulator
 }
 
 // Run expands the spec and executes every scenario (this shard's slice,
@@ -832,26 +822,17 @@ func execute(spec Spec, cs cellSpec, cellIdx int, seed int64) runRecord {
 	}
 	res := out.Result
 	rec := runRecord{
-		cellIdx:     cellIdx,
-		stop:        res.Stop,
-		quiescent:   res.Quiescent(),
-		dropped:     res.Dropped,
-		duplicated:  res.Duplicated,
-		retransmits: res.Retransmits,
-		ackedDups:   res.AckedDuplicates,
-		planCrashes: res.PlanCrashes,
-		restarts:    res.Restarts,
-		recovered:   res.Recovered,
-		byzDetected: res.ByzDetected,
-		byzMasked:   res.ByzMasked,
-		corrupted:   obsCounter(out.Obs, "plane_byz_corrupted_total"),
-		equivocated: obsCounter(out.Obs, "plane_byz_equivocated_total"),
-		replayed:    obsCounter(out.Obs, "plane_byz_replayed_total"),
-		events:      float64(len(res.History)),
-		endTime:     float64(res.EndTime),
-		metrics:     out.Metrics,
-		obs:         out.Obs,
-		peaks:       res.Timeline,
+		cellIdx:   cellIdx,
+		stop:      res.Stop,
+		quiescent: res.Quiescent(),
+		events:    float64(len(res.History)),
+		endTime:   float64(res.EndTime),
+		metrics:   out.Metrics,
+		obs:       out.Obs,
+		peaks:     res.Timeline,
+	}
+	if rec.obs == nil {
+		rec.obs = res.Metrics
 	}
 	rec.blocked = res.BlockedLive()
 	if spec.Check && rec.quiescent {
@@ -875,17 +856,6 @@ func execute(spec Spec, cs cellSpec, cellIdx int, seed int64) runRecord {
 		}
 	}
 	return rec
-}
-
-// obsCounter returns the value of the named counter in ms, or 0 when the
-// run's registry never registered it (e.g. plans without Byzantine rules).
-func obsCounter(ms obs.Metrics, name string) int {
-	for _, m := range ms {
-		if m.Name == name {
-			return int(m.Value)
-		}
-	}
-	return 0
 }
 
 // metricNames returns the sorted union of metric names in ms.

@@ -73,7 +73,7 @@ func TestRestartStormCrossBackendFates(t *testing.T) {
 	// tick rate; 300ms of wall clock covers several cycles on both procs.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, restarts, _ := lc.RecoveryStats(); restarts >= 4 {
+		if lc.Metrics().Value("net_restarts_total") >= 4 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -84,7 +84,8 @@ func TestRestartStormCrossBackendFates(t *testing.T) {
 		t.Fatalf("live history invalid: %v", err)
 	}
 	liveFate := historyFate(h)
-	planCrashes, restarts, recovered := lc.RecoveryStats()
+	ms := lc.Metrics()
+	planCrashes, restarts, recovered := ms.Value("net_plan_crashes_total"), ms.Value("net_restarts_total"), ms.Value("net_recovered_total")
 	if planCrashes == 0 || restarts == 0 {
 		t.Fatalf("live: planCrashes=%d restarts=%d, want both > 0", planCrashes, restarts)
 	}
