@@ -166,8 +166,8 @@ type Copy struct {
 // by the Replay ghost. It returns how many copies it handed over.
 //
 // Link sees the sender's payload; so does the host's delay choice, while
-// the channel carries Copy.Payload. enqueue must not retain its argument's
-// address; it is called synchronously, in copy order.
+// the channel carries Copy.Payload. enqueue is called synchronously, once
+// per copy, in copy order.
 func (w *Wire) Send(from, to model.ProcID, id model.MsgID, p Payload, now, parent int64, enqueue func(Copy)) int {
 	w.Sent.Inc()
 	var dec LinkDecision

@@ -7,6 +7,11 @@
 // through its Context (sending messages, setting timers, executing
 // failure-detection and crash events). Handlers own no goroutines and do no
 // I/O; hosts guarantee that all callbacks of one process are serialized.
+//
+// The package also holds what the two hosts share, so that a message's
+// fate and a run's counters cannot differ between them: the send pipeline
+// (Wire), the host counter set (Counters), and the walk that finds the
+// reliable and byz layer counters (LayerStats).
 package node
 
 import "failstop/internal/model"

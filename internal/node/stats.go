@@ -23,7 +23,7 @@ type Counters struct {
 // built once per host package so snapshots allocate no strings.
 type MetricNames struct {
 	sent, delivered, dropped, duplicated, timersFired string
-	planCrashes, restarts, recovered                 string
+	planCrashes, restarts, recovered                  string
 }
 
 // NewMetricNames names the counters prefix_sent_total, prefix_delivered_total,

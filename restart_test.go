@@ -1,6 +1,9 @@
 package failstop_test
 
 import (
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,6 +107,57 @@ func TestRestartStormCrossBackendFates(t *testing.T) {
 			if f.fate.restarted[p] != stormProcs[p] {
 				t.Errorf("%s: proc %d restarted=%v, want %v", f.name, p, f.fate.restarted[p], stormProcs[p])
 			}
+		}
+	}
+}
+
+// TestMetricNamesCrossBackend: one stack — reliable delivery, the byz
+// interposer, and a plan with restart lifetimes — reports the same metric
+// names on both backends, with the simulator's sim_ prefix read as net_
+// and its simulator-only sim_links_live gauge left out.
+func TestMetricNamesCrossBackend(t *testing.T) {
+	const n, tt = 5, 2
+	plan, err := failstop.BuiltinFaultPlan("restart-storm", n, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := failstop.ReliableOptions{Enabled: true, MaxRetries: 4}
+	bz := failstop.ByzantineOptions{Enabled: true}
+	rep := failstop.NewCluster(failstop.Options{
+		N: n, T: tt, Seed: 3, MaxTime: 500, Faults: &plan,
+		Recovery: failstop.RecoveryAmnesia, Reliable: rel, Byzantine: bz,
+	}).Run()
+	var simNames []string
+	for _, m := range rep.Metrics {
+		if m.Name == "sim_links_live" {
+			continue
+		}
+		simNames = append(simNames, strings.Replace(m.Name, "sim_", "net_", 1))
+	}
+	sort.Strings(simNames)
+
+	lc := failstop.NewLiveCluster(failstop.LiveOptions{
+		N: n, T: tt, Seed: 3, Faults: &plan,
+		Recovery: failstop.RecoveryAmnesia, Reliable: rel, Byzantine: bz,
+		MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond,
+		Tick: 100 * time.Microsecond,
+	})
+	lc.Start()
+	lc.Suspect(1, n)
+	time.Sleep(5 * time.Millisecond)
+	lc.Stop()
+	var liveNames []string
+	for _, m := range lc.Metrics() {
+		liveNames = append(liveNames, m.Name)
+	}
+	sort.Strings(liveNames)
+
+	if !reflect.DeepEqual(simNames, liveNames) {
+		t.Errorf("metric names differ across backends:\n sim: %v\nlive: %v", simNames, liveNames)
+	}
+	for _, want := range []string{"net_restarts_total", "reliable_retransmits_total", "byz_detected_total"} {
+		if i := sort.SearchStrings(liveNames, want); i == len(liveNames) || liveNames[i] != want {
+			t.Errorf("live metrics lack %s: %v", want, liveNames)
 		}
 	}
 }
