@@ -134,11 +134,11 @@ func New(cfg Config) *Net {
 		procs:    make([]*proc, cfg.N+1),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		stopCh:   make(chan struct{}),
+		wire:     node.Wire{Link: cfg.Link, Spans: cfg.Spans},
 	}
 	for p := 1; p <= cfg.N; p++ {
 		n.procs[p] = newProc(n, model.ProcID(p))
 	}
-	n.wire.Link, n.wire.Spans = cfg.Link, cfg.Spans
 	n.wire.Register(cfg.Metrics, metricNames, len(cfg.Lifetimes) > 0)
 	return n
 }

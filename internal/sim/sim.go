@@ -427,11 +427,11 @@ func New(cfg Config) *Sim {
 		timerGen:  make(map[timerID]int64, 16),
 		due:       make(map[dueKey][]model.ProcID),
 		gatedFrom: make([][]model.ProcID, cfg.N+1),
+		wire:      node.Wire{Link: cfg.Link, Spans: cfg.Spans},
 	}
 	for p := 1; p <= cfg.N; p++ {
 		s.ctxs[p] = &procCtx{s: s, p: model.ProcID(p)}
 	}
-	s.wire.Link, s.wire.Spans = cfg.Link, cfg.Spans
 	if reg := cfg.Metrics; reg != nil {
 		reg.RegisterGauge("sim_links_live", &s.gLinks)
 		s.wire.Register(reg, metricNames, len(cfg.Lifetimes) > 0)
